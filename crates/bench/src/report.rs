@@ -103,7 +103,7 @@ pub fn arg_flag(name: &str) -> bool {
     std::env::args().any(|a| a == flag)
 }
 
-/// Reads a `usize` `--name=value` (a count: threads, domains, clients)
+/// Reads a `usize` `--name=value` (a count: threads, clients)
 /// from the process arguments, with a default.
 #[must_use]
 pub fn arg_usize(name: &str, default: usize) -> usize {
@@ -113,13 +113,13 @@ pub fn arg_usize(name: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// The sweep/shard thread width every benchmark binary uses, resolved in
+/// The sweep thread width every benchmark binary uses, resolved in
 /// priority order: the `LAMBDA_BENCH_THREADS` environment variable, then
 /// a `--threads=N` argument, then the machine's available parallelism.
 ///
-/// Thread width never changes any simulated result — figure sweeps
-/// preserve job order and the sharded engine is thread-count-invariant by
-/// construction — so this knob only trades wall-clock time for cores.
+/// Thread width never changes any simulated result — each simulation runs
+/// on one thread and figure sweeps preserve job order — so this knob only
+/// trades wall-clock time for cores.
 #[must_use]
 pub fn bench_threads() -> usize {
     if let Some(n) = std::env::var("LAMBDA_BENCH_THREADS")

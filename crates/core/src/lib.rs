@@ -60,7 +60,6 @@ mod messages;
 mod metrics;
 mod namenode;
 mod service;
-pub mod shard;
 mod subtree;
 mod system;
 
@@ -76,8 +75,5 @@ pub use messages::{
 pub use metrics::RunMetrics;
 pub use namenode::{NameNode, NnServices};
 pub use service::DfsService;
-pub use shard::{
-    run_sharded_cluster, ClusterMsg, ClusterReport, DomainReport, ShardedClusterConfig,
-};
 pub use subtree::SubtreeExecutor;
 pub use system::LambdaFs;

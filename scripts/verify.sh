@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # One entry point for correctness + perf verification of a PR:
-#   1. tier-1: release build + full test suite (quiet)
+#   1. tier-1: release build + full test suite (quiet), plus the
+#      lambda-bench library's unit tests (the bench crate is not a
+#      default workspace member, so tier-1 `cargo test` skips it)
 #   2. lint: clippy across the workspace, warnings denied
 #   3. kernel bench smoke: a fast liveness run of the DES-kernel
 #      throughput microbench (slab/wheel engine vs boxed baseline)
@@ -20,41 +22,39 @@
 #      small system and exits nonzero if any post-run invariant audit
 #      (leaked locks/txns/invocations, namespace↔store divergence,
 #      op-count conservation) fails.
-#   9. parallel DES smoke: bench_parallel --smoke runs the sharded
-#      cluster at N in {1,2,4,8} worker threads and asserts every thread
-#      count produces a bit-identical ClusterReport fingerprint.
-#  10. fig10 at --threads=4: the figure sweep re-run on four worker
+#   9. fig10 at --threads=4: the figure sweep re-run on four worker
 #      threads must still match the golden capture byte-for-byte —
 #      sweep-level parallelism must never reach the simulated results.
-#  11. memory sweep smoke: fig08d_million_scale --smoke --phase-timings
+#  10. memory sweep smoke: fig08d_million_scale --smoke --phase-timings
 #      exercises the footprint instrumentation and the per-phase
 #      wall-clock breakdown end-to-end (small scales, exact bytes/inode +
 #      bytes/client accounting via the counting allocator).
-#  12. alloc-stats feature build: the counting-allocator feature must
+#  11. alloc-stats feature build: the counting-allocator feature must
 #      keep compiling in release mode (it is off by default, so only
 #      this step catches bit-rot).
-#  13. bootstrap budget regression: the streaming tree loader must keep
+#  12. bootstrap budget regression: the streaming tree loader must keep
 #      loading fresh trees at >=500k inodes/sec and stay at least as
 #      dense per inode as insert+repack (crates/bench/tests/
 #      bootstrap_budget.rs, release + alloc-stats).
-#  14. store engine bench smoke: bench_store --smoke runs the arena B+
+#  13. store engine bench smoke: bench_store --smoke runs the arena B+
 #      tree vs std-BTreeMap microbench at small scales (liveness; the
 #      full-scale numbers live in results/BENCH_store.json). The engine's
 #      observational equivalence is pinned by the differential proptests
-#      in crates/store/tests/engine_differential.rs, which run as part of
-#      tier-1 `cargo test`.
-#  15. per-op allocation regression: lean reads (point gets + visitor
+#      in crates/store/tests/engine_differential.rs, which tier-1
+#      `cargo test` runs (the root `default-members` covers every crate
+#      but lambda-bench).
+#  14. per-op allocation regression: lean reads (point gets + visitor
 #      scans) against a 250k-inode tree must make zero heap allocations
 #      (crates/bench/tests/alloc_per_op.rs, release + alloc-stats).
-#  16. LSM crash/replay differential: the lambda-lsm proptests (random
+#  15. LSM crash/replay differential: the lambda-lsm proptests (random
 #      put/delete/flush interleavings crashed at arbitrary points; WAL
 #      replay must reconstruct the exact pre-crash visible state) run
 #      explicitly in release mode.
-#  17. durable chaos smoke: fig15b_chaos --smoke --durable re-runs every
+#  16. durable chaos smoke: fig15b_chaos --smoke --durable re-runs every
 #      fault class on the WAL-backed durable store backend — shard
 #      failovers recover by WAL replay, and the audit adds the
 #      post-crash shadow↔table consistency check.
-#  18. durability sweep smoke: fig15c_durability --smoke runs the
+#  17. durability sweep smoke: fig15c_durability --smoke runs the
 #      flush-interval x crash-rate grid (recovery time, write
 #      amplification, lost-window aborts) and exits nonzero on any
 #      audit failure. Full-scale numbers: results/BENCH_durability.json.
@@ -77,13 +77,13 @@ cargo build --release --offline -p lambda-bench --bin bench_faas
 cargo build --release --offline -p lambda-bench --bin fig10_latency_cdfs
 cargo build --release --offline -p lambda-bench --bin fig15_fault_tolerance
 cargo build --release --offline -p lambda-bench --bin fig15b_chaos
-cargo build --release --offline -p lambda-bench --bin bench_parallel
 cargo build --release --offline -p lambda-bench --bin fig08d_million_scale --features alloc-stats
 cargo build --release --offline -p lambda-bench --bin bench_store
 cargo build --release --offline -p lambda-bench --bin fig15c_durability
 
 echo "== tier-1: cargo test -q =="
 cargo test -q --offline
+cargo test -q --offline -p lambda-bench --lib
 
 echo "== lint: cargo clippy (deny warnings) =="
 cargo clippy --workspace --offline -- -D warnings
@@ -111,9 +111,6 @@ echo "fig15 output matches the golden capture"
 
 echo "== chaos smoke (fault classes + invariant audits) =="
 ./target/release/fig15b_chaos --smoke
-
-echo "== parallel DES smoke (N=1..8 fingerprints must match) =="
-./target/release/bench_parallel --smoke
 
 echo "== fig10 golden check at --threads=4 =="
 ./target/release/fig10_latency_cdfs --threads=4 > results/fig10_latency_cdfs_t4.txt
