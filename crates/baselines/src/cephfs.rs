@@ -25,7 +25,8 @@ use std::rc::Rc;
 
 use lambda_fs::{DfsService, OpDone, RunMetrics};
 use lambda_namespace::{
-    DfsPath, FsError, FsOp, Inode, InodeId, OpOutcome, OpResult, Partitioner, ROOT_INODE_ID,
+    interned, DfsPath, FsError, FsOp, Inode, InodeId, OpOutcome, OpResult, Partitioner,
+    ROOT_INODE_ID,
 };
 use lambda_sim::params::NetParams;
 use lambda_sim::{every, CostMeter, Dist, Sim, SimDuration, Station, StationRef, VmPricing};
@@ -200,12 +201,12 @@ impl MemNamespace {
     fn ls(&self, path: &DfsPath) -> OpResult {
         let target = self.resolve(path)?;
         if !target.is_dir() {
-            return Ok(OpOutcome::Listing(vec![target.name.to_string()]));
+            return Ok(OpOutcome::Listing(Rc::from([target.name.as_str()])));
         }
         let names = self
             .children
             .range((target.id, String::new())..(target.id + 1, String::new()))
-            .map(|((_, name), _)| name.clone())
+            .map(|((_, name), _)| interned(name))
             .collect();
         Ok(OpOutcome::Listing(names))
     }

@@ -14,6 +14,11 @@
 //! probes, two inode fetches), plus the listing-shaped visitor scan and
 //! range count the directory paths use.
 //!
+//! A second gate covers the NameNode side of a warmed `ls`: a
+//! [`MetadataCache::listing`] hit on a cached 48-name directory hands out
+//! the shared snapshot (a refcount bump), so it too must allocate zero
+//! times — no per-name `String`, no `Vec` copy.
+//!
 //! Like `bootstrap_budget.rs`, the file only exists under
 //! `--features alloc-stats` (verify.sh runs it in release); a plain
 //! `cargo test` compiles it to nothing.
@@ -21,8 +26,10 @@
 //! [`MemScope::allocs`]: lambda_allocstats::MemScope::allocs
 #![cfg(feature = "alloc-stats")]
 
+use std::rc::Rc;
+
 use lambda_allocstats as mem;
-use lambda_namespace::{interned, DfsPath, MetadataSchema, ROOT_INODE_ID};
+use lambda_namespace::{interned, DfsPath, MetadataCache, MetadataSchema, ROOT_INODE_ID};
 use lambda_sim::params::StoreParams;
 use lambda_sim::{SimDuration, SimRng};
 use lambda_store::{Db, NameKey};
@@ -36,6 +43,9 @@ const FILES_PER_DIR: usize = 48;
 /// Lean-read ops measured under the zero-alloc scope.
 const OPS: usize = 10_000;
 
+/// One `#[test]` for both gates: the counting allocator is process-global,
+/// so a second test (or the harness reporting one that just finished) on
+/// another thread would charge its allocations to the open scope.
 #[test]
 fn lean_reads_do_not_allocate_at_250k_inodes() {
     assert!(mem::active(), "counting allocator must be registered");
@@ -88,4 +98,33 @@ fn lean_reads_do_not_allocate_at_250k_inodes() {
          (point gets and visitor scans must stay heap-free)"
     );
     assert!(rows_seen > 0);
+
+    cached_listing_hits_do_not_allocate();
+}
+
+/// The NameNode side of a warmed `ls`: [`MetadataCache::listing`] hits on
+/// a cached 48-name directory.
+fn cached_listing_hits_do_not_allocate() {
+    let dir = 7;
+    let names: Rc<[&'static str]> =
+        (0..FILES_PER_DIR).map(|f| interned(&format!("file{f:05}"))).collect();
+    let mut cache = MetadataCache::new(1024);
+    cache.cache_listing(dir, names);
+    let mut names_seen = 0usize;
+    // Warm once outside the scope.
+    names_seen += cache.listing(dir).expect("listing cached").len();
+
+    let scope = mem::GLOBAL.scope();
+    for _ in 0..OPS {
+        let hit = cache.listing(dir).expect("listing cached");
+        names_seen += hit.len();
+    }
+    let allocs = scope.allocs();
+    assert_eq!(
+        allocs, 0,
+        "listing hits allocated: {allocs} allocation events over {OPS} hits \
+         (a hit must share the cached snapshot, not copy it)"
+    );
+    assert_eq!(names_seen, (OPS + 1) * FILES_PER_DIR);
+    assert_eq!(cache.stats().listing_hits, OPS as u64 + 1);
 }

@@ -167,14 +167,23 @@ impl LatencyWindow {
         }
     }
 
+    /// Mean of the window. The ring's samples are two contiguous runs,
+    /// `buf[head..]` then the wrapped-around start of `buf`; summing them
+    /// in that order adds the same floats in the same oldest-first order
+    /// as indexing `(head + k) % cap`, without a division per sample.
     fn avg(&self) -> Option<f64> {
         if self.len == 0 {
             return None;
         }
-        let cap = self.buf.len();
+        let (head, len) = (self.head as usize, self.len as usize);
+        let older = &self.buf[head..(head + len).min(self.buf.len())];
+        let newer = &self.buf[..len - older.len()];
         let mut sum = 0.0;
-        for k in 0..self.len as usize {
-            sum += self.buf[(self.head as usize + k) % cap];
+        for v in older {
+            sum += v;
+        }
+        for v in newer {
+            sum += v;
         }
         Some(sum / f64::from(self.len))
     }
@@ -922,6 +931,45 @@ mod tests {
             // Bit-identical, not approximately equal: the ring must sum in
             // the deque's oldest-first order.
             assert_eq!(ring.avg(), deque_avg);
+        }
+    }
+
+    #[test]
+    fn latency_window_avg_is_bit_identical_to_the_modulo_walk() {
+        // The per-sample `(head + k) % cap` loop the two-run sum replaced.
+        fn modulo_avg(w: &LatencyWindow) -> Option<f64> {
+            if w.len == 0 {
+                return None;
+            }
+            let cap = w.buf.len();
+            let mut sum = 0.0;
+            for k in 0..w.len as usize {
+                sum += w.buf[(w.head as usize + k) % cap];
+            }
+            Some(sum / f64::from(w.len))
+        }
+        // Samples spanning several magnitudes, so summation order shows
+        // up in the low bits.
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut sample = move || {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            (x >> 11) as f64 / (1u64 << 53) as f64 * 10f64.powi((x % 7) as i32 - 4)
+        };
+        for cap in [1, 2, 3, 5, 64] {
+            let mut ring = LatencyWindow::boxed(cap);
+            assert_eq!(ring.avg(), None);
+            // Partly filled, exactly full, then wrapped at every head offset.
+            for _ in 0..3 * cap + 1 {
+                ring.push(sample());
+                let (got, want) = (ring.avg().unwrap(), modulo_avg(&ring).unwrap());
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "cap {cap}, head {}, len {}",
+                    ring.head,
+                    ring.len
+                );
+            }
         }
     }
 

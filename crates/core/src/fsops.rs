@@ -324,7 +324,7 @@ impl OpEngine {
             let target = chain.last().expect("non-empty").clone();
             if !target.is_dir() {
                 // `ls` of a file lists the file itself.
-                return done(sim, Ok(OpOutcome::Listing(vec![target.name.to_string()])));
+                return done(sim, Ok(OpOutcome::Listing(Rc::from([target.name.as_str()]))));
             }
             if allow_cache {
                 if let Some(cache) = &this.cache {
@@ -369,13 +369,14 @@ impl OpEngine {
                             this3.schema.children,
                             (dir, NameKey::MIN)..(dir + 1, NameKey::MIN),
                             Vec::new,
-                            |names: &mut Vec<String>, (_, name), _| {
-                                names.push(name.as_str().to_string());
+                            |names: &mut Vec<&'static str>, (_, name), _| {
+                                names.push(name.as_str());
                             },
                             move |sim, names| {
+                                let names: Rc<[&'static str]> = names.into();
                                 if allow_cache {
                                     if let Some(cache) = &this4.cache {
-                                        cache.borrow_mut().cache_listing(dir, names.clone());
+                                        cache.borrow_mut().cache_listing(dir, Rc::clone(&names));
                                     }
                                 }
                                 done(sim, Ok(OpOutcome::Listing(names)));
@@ -509,7 +510,7 @@ impl OpEngine {
                                     let mut chain2 = chain.clone();
                                     chain2.push(inode.clone());
                                     cache.insert_chain(&path2, &chain2);
-                                    cache.update_listing(parent.id, &inode.name, true);
+                                    cache.update_listing(parent.id, inode.name.as_str(), true);
                                 }
                             }
                             done(sim, Ok(OpOutcome::Created(Box::new(inode))));
@@ -620,7 +621,7 @@ impl OpEngine {
                         if let Some(cache) = &this3.cache {
                             let mut cache = cache.borrow_mut();
                             cache.invalidate_inode(target.id);
-                            cache.update_listing(target.parent, &target.name, false);
+                            cache.update_listing(target.parent, target.name.as_str(), false);
                         }
                     }
                     done(sim, Ok(OpOutcome::Deleted(1)));
@@ -765,7 +766,7 @@ impl OpEngine {
                             if let Some(cache) = &this4.cache {
                                 let mut cache = cache.borrow_mut();
                                 cache.invalidate_inode(target.id);
-                                cache.update_listing(target.parent, &target.name, false);
+                                cache.update_listing(target.parent, target.name.as_str(), false);
                                 cache.update_listing(dst_parent.id, dst_name, true);
                             }
                         }

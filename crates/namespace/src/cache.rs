@@ -35,6 +35,7 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::rc::Rc;
 
 use crate::inode::{Inode, InodeId};
 use crate::path::{DfsPath, Sym};
@@ -172,7 +173,7 @@ pub struct MetadataCache {
     lru_tail: u32,
     capacity: usize,
     len: usize,
-    listings: HashMap<InodeId, Vec<String>>,
+    listings: HashMap<InodeId, Rc<[&'static str]>>,
     listing_capacity: usize,
     stats: CacheStats,
     /// Reusable scratch for the node indices of a path walk.
@@ -216,23 +217,33 @@ impl MetadataCache {
     }
 
     /// Caches a directory's child names (kept sorted so in-place updates
-    /// can binary-search). When the listing bound is hit the listing cache
-    /// is flushed wholesale (coarse but sufficient: λFS's benefit comes
-    /// from repeated `ls` of hot directories).
-    pub fn cache_listing(&mut self, dir: InodeId, mut names: Vec<String>) {
+    /// can binary-search). An already sorted listing — every store scan's
+    /// is — is stored as the caller's `Rc` itself, so the cache and the
+    /// `ls` result that filled it share one allocation. When the listing
+    /// bound is hit the listing cache is flushed wholesale (coarse but
+    /// sufficient: λFS's benefit comes from repeated `ls` of hot
+    /// directories).
+    pub fn cache_listing(&mut self, dir: InodeId, names: Rc<[&'static str]>) {
         if self.listings.len() >= self.listing_capacity {
             self.listings.clear();
         }
-        names.sort_unstable();
+        let names = if names.is_sorted() {
+            names
+        } else {
+            let mut sorted = names.to_vec();
+            sorted.sort_unstable();
+            sorted.into()
+        };
         self.listings.insert(dir, names);
     }
 
-    /// Looks up a cached listing, recording hit/miss statistics.
-    pub fn listing(&mut self, dir: InodeId) -> Option<Vec<String>> {
+    /// Looks up a cached listing, recording hit/miss statistics. A hit
+    /// returns the cached snapshot itself: a refcount bump, no copy.
+    pub fn listing(&mut self, dir: InodeId) -> Option<Rc<[&'static str]>> {
         match self.listings.get(&dir) {
             Some(names) => {
                 self.stats.listing_hits += 1;
-                Some(names.clone())
+                Some(Rc::clone(names))
             }
             None => {
                 self.stats.listing_misses += 1;
@@ -250,17 +261,24 @@ impl MetadataCache {
     /// created/deleted child lets caches update their listing instead of
     /// dropping it (equivalent to invalidate-then-refill, without the
     /// store round trip). No-op when the listing is not cached.
-    pub fn update_listing(&mut self, dir: InodeId, name: &str, present: bool) {
-        if let Some(names) = self.listings.get_mut(&dir) {
-            match (names.binary_search_by(|n| n.as_str().cmp(name)), present) {
-                (Ok(_), true) => {}
-                (Ok(idx), false) => {
-                    names.remove(idx);
-                }
-                (Err(idx), true) => names.insert(idx, name.to_string()),
-                (Err(_), false) => {}
-            }
-        }
+    ///
+    /// Copy on write: a delta that adds or removes a name builds a new
+    /// slice, so snapshots handed out by earlier [`listing`](Self::listing)
+    /// hits never change. A delta that changes nothing (the name is already
+    /// present, or already absent) keeps the cached `Rc` as it is.
+    pub fn update_listing(&mut self, dir: InodeId, name: &'static str, present: bool) {
+        let Some(names) = self.listings.get_mut(&dir) else { return };
+        let updated: Rc<[&'static str]> = match (names.binary_search(&name), present) {
+            (Ok(_), true) | (Err(_), false) => return,
+            (Ok(idx), false) => names[..idx].iter().chain(&names[idx + 1..]).copied().collect(),
+            (Err(idx), true) => names[..idx]
+                .iter()
+                .chain(std::iter::once(&name))
+                .chain(&names[idx..])
+                .copied()
+                .collect(),
+        };
+        *names = updated;
     }
 
     /// Number of cached inodes.
@@ -769,13 +787,17 @@ mod listing_tests {
         s.parse().unwrap()
     }
 
+    fn rc(names: &[&'static str]) -> Rc<[&'static str]> {
+        names.into()
+    }
+
     #[test]
     fn listing_cache_round_trip_and_stats() {
         let mut cache = MetadataCache::new(100);
         assert_eq!(cache.listing(7), None);
-        cache.cache_listing(7, vec!["b".into(), "a".into()]);
+        cache.cache_listing(7, rc(&["b", "a"]));
         // Stored sorted for in-place updates.
-        assert_eq!(cache.listing(7), Some(vec!["a".to_string(), "b".to_string()]));
+        assert_eq!(cache.listing(7).as_deref(), Some(&["a", "b"][..]));
         assert_eq!(cache.stats().listing_hits, 1);
         assert_eq!(cache.stats().listing_misses, 1);
     }
@@ -783,14 +805,11 @@ mod listing_tests {
     #[test]
     fn update_listing_inserts_and_removes_in_order() {
         let mut cache = MetadataCache::new(100);
-        cache.cache_listing(7, vec!["b".into(), "d".into()]);
+        cache.cache_listing(7, rc(&["b", "d"]));
         cache.update_listing(7, "c", true);
         cache.update_listing(7, "a", true);
         cache.update_listing(7, "d", false);
-        assert_eq!(
-            cache.listing(7),
-            Some(vec!["a".to_string(), "b".to_string(), "c".to_string()])
-        );
+        assert_eq!(cache.listing(7).as_deref(), Some(&["a", "b", "c"][..]));
         // Idempotent in both directions.
         cache.update_listing(7, "a", true);
         cache.update_listing(7, "zz", false);
@@ -805,12 +824,67 @@ mod listing_tests {
     }
 
     #[test]
+    fn sorted_listing_is_shared_not_copied() {
+        let mut cache = MetadataCache::new(100);
+        let scanned = rc(&["a", "b", "c"]);
+        cache.cache_listing(7, Rc::clone(&scanned));
+        let hit = cache.listing(7).unwrap();
+        assert!(Rc::ptr_eq(&hit, &scanned), "a sorted listing must be stored as given");
+        assert!(Rc::ptr_eq(&hit, &cache.listing(7).unwrap()), "hits share one allocation");
+    }
+
+    #[test]
+    fn snapshot_from_a_hit_survives_later_deltas() {
+        let mut cache = MetadataCache::new(100);
+        cache.cache_listing(7, rc(&["b", "d"]));
+        let before = cache.listing(7).unwrap();
+        cache.update_listing(7, "c", true);
+        let after_insert = cache.listing(7).unwrap();
+        cache.update_listing(7, "b", false);
+        cache.update_listing(7, "a", true);
+        assert_eq!(&*before, &["b", "d"], "an insert leaked into an earlier snapshot");
+        assert_eq!(&*after_insert, &["b", "c", "d"], "a removal leaked into an earlier snapshot");
+        assert_eq!(&*cache.listing(7).unwrap(), &["a", "c", "d"]);
+    }
+
+    #[test]
+    fn cached_listing_tracks_every_delta_and_stays_sorted() {
+        let mut cache = MetadataCache::new(100);
+        cache.cache_listing(7, rc(&["m"]));
+        let mut model = vec!["m"];
+        let deltas = [("z", true), ("a", true), ("m", false), ("k", true), ("a", false), ("b", true)];
+        for (name, present) in deltas {
+            cache.update_listing(7, name, present);
+            if present {
+                model.push(name);
+            } else {
+                model.retain(|n| *n != name);
+            }
+            // The model is kept sorted, so equality also checks order.
+            model.sort_unstable();
+            assert_eq!(&*cache.listing(7).unwrap(), &model[..], "after {name}/{present}");
+        }
+    }
+
+    #[test]
+    fn no_op_delta_keeps_the_same_snapshot() {
+        let mut cache = MetadataCache::new(100);
+        cache.cache_listing(7, rc(&["a", "b"]));
+        let before = cache.listing(7).unwrap();
+        cache.update_listing(7, "a", true); // already present
+        cache.update_listing(7, "zz", false); // already absent
+        assert!(Rc::ptr_eq(&before, &cache.listing(7).unwrap()));
+        cache.update_listing(7, "c", true);
+        assert!(!Rc::ptr_eq(&before, &cache.listing(7).unwrap()), "a real delta must copy");
+    }
+
+    #[test]
     fn invalidating_a_dir_inode_drops_its_listing() {
         let mut cache = MetadataCache::new(100);
         let path = p("/d");
         let chain = vec![Inode::root(), Inode::directory(2, 1, "d")];
         cache.insert_chain(&path, &chain);
-        cache.cache_listing(2, vec!["x".into()]);
+        cache.cache_listing(2, rc(&["x"]));
         cache.invalidate_inode(2);
         assert_eq!(cache.listing(2), None, "listing survived its inode's invalidation");
     }
@@ -818,12 +892,12 @@ mod listing_tests {
     #[test]
     fn listing_capacity_flushes_wholesale() {
         let mut cache = MetadataCache::with_listing_capacity(100, 2);
-        cache.cache_listing(1, vec!["a".into()]);
-        cache.cache_listing(2, vec!["b".into()]);
-        cache.cache_listing(3, vec!["c".into()]); // exceeds bound: flush
+        cache.cache_listing(1, rc(&["a"]));
+        cache.cache_listing(2, rc(&["b"]));
+        cache.cache_listing(3, rc(&["c"])); // exceeds bound: flush
         assert_eq!(cache.listing(1), None);
         assert_eq!(cache.listing(2), None);
-        assert_eq!(cache.listing(3), Some(vec!["c".to_string()]));
+        assert_eq!(cache.listing(3).as_deref(), Some(&["c"][..]));
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::rc::Rc;
 
 use crate::inode::Inode;
 use crate::path::DfsPath;
@@ -128,8 +129,15 @@ impl FsOp {
 pub enum OpOutcome {
     /// Attributes (and, for reads, block list) of the resolved inode.
     Meta(Box<Inode>),
-    /// Directory listing: child names in order.
-    Listing(Vec<String>),
+    /// Directory listing: the child names, sorted, as one immutable
+    /// snapshot. Each name is the interner arena's `&'static str`, so
+    /// building a listing allocates nothing per name, and the slice is
+    /// shared: the NameNode's listing cache, its retry-dedup result cache
+    /// and the client all hold the same allocation, and cloning the
+    /// outcome is a refcount bump. A later change to the directory never
+    /// alters a snapshot already handed out (see
+    /// [`MetadataCache::update_listing`](crate::MetadataCache::update_listing)).
+    Listing(Rc<[&'static str]>),
     /// The inode created by `create`/`mkdir`.
     Created(Box<Inode>),
     /// A delete completed, removing this many inodes.

@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 
 use lambda_namespace::cache_baseline::MetadataCache as BaselineCache;
-use lambda_namespace::{DfsPath, Inode, InodeId, MetadataCache, ROOT_INODE_ID};
+use lambda_namespace::{interned, DfsPath, Inode, InodeId, MetadataCache, ROOT_INODE_ID};
 use proptest::prelude::*;
 
 /// One cache operation, path-addressed; ids are assigned deterministically
@@ -131,16 +131,26 @@ proptest! {
                 }
                 Op::CacheListing(p, names) => {
                     let dir = ids.id_of(p);
-                    arena.cache_listing(dir, names.clone());
+                    arena.cache_listing(dir, names.iter().map(|n| interned(n)).collect());
                     baseline.cache_listing(dir, names.clone());
                 }
                 Op::Listing(p) => {
                     let dir = ids.id_of(p);
-                    prop_assert_eq!(arena.listing(dir), baseline.listing(dir));
+                    // The arena cache hands out a shared snapshot of
+                    // interned names, the baseline an owned `Vec<String>`:
+                    // they must agree name by name.
+                    let (shared, owned) = (arena.listing(dir), baseline.listing(dir));
+                    prop_assert_eq!(shared.is_some(), owned.is_some());
+                    if let (Some(shared), Some(owned)) = (shared, owned) {
+                        prop_assert_eq!(shared.len(), owned.len());
+                        for (i, (s, o)) in shared.iter().zip(&owned).enumerate() {
+                            prop_assert_eq!(*s, o.as_str(), "listing of {} diverges at name {}", p, i);
+                        }
+                    }
                 }
                 Op::UpdateListing(p, name, present) => {
                     let dir = ids.id_of(p);
-                    arena.update_listing(dir, name, *present);
+                    arena.update_listing(dir, interned(name), *present);
                     baseline.update_listing(dir, name, *present);
                 }
                 Op::InvalidateListing(p) => {

@@ -4,7 +4,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use lambda_namespace::{DfsPath, Inode, InodeId, MetadataCache, Partitioner};
+use lambda_namespace::{interned, DfsPath, Inode, InodeId, MetadataCache, Partitioner};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -252,18 +252,18 @@ proptest! {
     ) {
         let mut cache = MetadataCache::new(100);
         let dir: InodeId = 7;
-        cache.cache_listing(dir, initial.iter().cloned().collect());
+        cache.cache_listing(dir, initial.iter().map(|n| interned(n)).collect());
         let mut model = initial;
         for (name, present) in updates {
-            cache.update_listing(dir, &name, present);
+            cache.update_listing(dir, interned(&name), present);
             if present {
                 model.insert(name);
             } else {
                 model.remove(&name);
             }
             let got = cache.listing(dir).expect("listing stays cached");
-            let expect: Vec<String> = model.iter().cloned().collect();
-            prop_assert_eq!(got, expect);
+            let expect: Vec<&str> = model.iter().map(String::as_str).collect();
+            prop_assert_eq!(&*got, &expect[..]);
         }
     }
 }

@@ -44,8 +44,10 @@
 #      `cargo test` runs (the root `default-members` covers every crate
 #      but lambda-bench).
 #  14. per-op allocation regression: lean reads (point gets + visitor
-#      scans) against a 250k-inode tree must make zero heap allocations
-#      (crates/bench/tests/alloc_per_op.rs, release + alloc-stats).
+#      scans) against a 250k-inode tree, and MetadataCache::listing hits
+#      on a cached 48-name directory (a shared snapshot, not a copy),
+#      must make zero heap allocations (crates/bench/tests/
+#      alloc_per_op.rs, release + alloc-stats).
 #  15. LSM crash/replay differential: the lambda-lsm proptests (random
 #      put/delete/flush interleavings crashed at arbitrary points; WAL
 #      replay must reconstruct the exact pre-crash visible state) run
@@ -58,6 +60,11 @@
 #      flush-interval x crash-rate grid (recovery time, write
 #      amplification, lost-window aborts) and exits nonzero on any
 #      audit failure. Full-scale numbers: results/BENCH_durability.json.
+#  18. benchmark self-tests: perfbench (its own cargo workspace, built
+#      against the crates by path) runs a tiny size of every workload
+#      through its correctness gate and checks traced == untraced, and
+#      its Python tests check run.py and BENCHMARK.json's contract. A
+#      crate API change that breaks the benchmark fails here.
 #
 # The smoke benches write results/BENCH_*_smoke.json and are
 # informational at that scale; the recorded full-size numbers live in
@@ -142,5 +149,9 @@ echo "== durable chaos smoke (WAL replay recovery + shadow check) =="
 
 echo "== durability sweep smoke (flush interval x crash rate) =="
 ./target/release/fig15c_durability --smoke
+
+echo "== benchmark self-tests (perfbench tiny runs + run.py contract) =="
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+python3 -m unittest discover -s perfbench -p 'test_*.py'
 
 echo "verify.sh: all checks passed"
