@@ -2,9 +2,10 @@
 //!
 //! # Hot-path layout
 //!
-//! This is the overhauled control plane (the pre-overhaul version lives in
-//! [`crate::baseline`] and must stay observably identical — see
-//! `tests/platform_differential.rs`):
+//! This is the overhauled control plane. Its observables (completions,
+//! counters, gauge points, and billing sums to the bit) are pinned per
+//! case to digests recorded from the pre-overhaul version in
+//! `tests/platform_differential.rs`:
 //!
 //! * **Slab instance table.** Instances live in `slots: Vec<Option<..>>`
 //!   recycled through a freelist; `id_to_slot` maps the stable, public
@@ -79,10 +80,6 @@ impl fmt::Display for DeploymentId {
 pub struct InstanceId(u64);
 
 impl InstanceId {
-    pub(crate) const fn from_raw(raw: u64) -> Self {
-        InstanceId(raw)
-    }
-
     pub(crate) const fn raw(self) -> u64 {
         self.0
     }
@@ -666,12 +663,6 @@ impl<F: Function> Platform<F> {
         id
     }
 
-    /// Number of registered deployments.
-    #[must_use]
-    pub fn deployment_count(&self) -> usize {
-        self.core.inner.borrow().deployments.len()
-    }
-
     /// The name a deployment was registered under. Cheap: a shared handle,
     /// not a fresh `String`.
     #[must_use]
@@ -770,19 +761,9 @@ impl<F: Function> Platform<F> {
         self.core.inner.borrow().live_ids.len()
     }
 
-    /// Per-instance CPU station statistics (diagnostics): `(instance,
-    /// servers, busy, queue, stats)`.
-    #[must_use]
-    pub fn instance_cpu_stats(
-        &self,
-    ) -> Vec<(InstanceId, u32, u32, usize, lambda_sim::StationStats)> {
-        let mut out = Vec::new();
-        self.instance_cpu_stats_into(&mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`Platform::instance_cpu_stats`]: clears
-    /// `out` and fills it in ascending instance-id order.
+    /// Per-instance CPU station statistics (diagnostics): clears `out` and
+    /// fills it with `(instance, servers, busy, queue, stats)` in ascending
+    /// instance-id order, without allocating.
     pub fn instance_cpu_stats_into(
         &self,
         out: &mut Vec<(InstanceId, u32, u32, usize, lambda_sim::StationStats)>,

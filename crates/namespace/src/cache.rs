@@ -29,9 +29,9 @@
 //! invalidated stay in the trie (they still route lookups) but cost no LRU
 //! bookkeeping.
 //!
-//! The pre-overhaul implementation is preserved in
-//! [`crate::cache_baseline`]; `tests/cache_differential.rs` holds the two
-//! observationally equal.
+//! `tests/cache_differential.rs` holds the cache observationally equal to
+//! a path-keyed reference model with the pre-overhaul trie's statistics,
+//! eviction and listing rules.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

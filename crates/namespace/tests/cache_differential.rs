@@ -1,22 +1,27 @@
 //! Differential property test: the arena-trie [`MetadataCache`] against
-//! the retained pre-overhaul implementation
-//! ([`lambda_namespace::cache_baseline::MetadataCache`]).
+//! [`Model`], a path-keyed reference held here.
 //!
 //! Identical operation sequences — inserts, lookups, prefix lookups,
 //! LRU-pressured evictions (tiny capacity), inode and prefix
 //! invalidations, and listing-cache traffic — must produce identical
 //! return values, identical [`CacheStats`], and the same surviving-entry
-//! set. The overhaul changed the representation (slab nodes, symbol keys,
-//! intrusive LRU links); it must not have changed a single observable.
+//! set. The model keeps the pre-overhaul trie's rules: every touch takes a
+//! fresh LRU tick, eviction drops the least recently touched entry (even
+//! an ancestor of a cached chain), an inode id lives at one path at a
+//! time, and the listing cache is flushed wholesale when its bound is hit.
+//! The trie's node pruning has no observable of its own: a path with no
+//! entry at or under it behaves the same whether or not its node exists.
 
 use std::collections::HashMap;
+use std::iter::once;
 
-use lambda_namespace::cache_baseline::MetadataCache as BaselineCache;
-use lambda_namespace::{interned, DfsPath, Inode, InodeId, MetadataCache, ROOT_INODE_ID};
+use lambda_namespace::{
+    interned, CacheStats, DfsPath, Inode, InodeId, MetadataCache, ROOT_INODE_ID,
+};
 use proptest::prelude::*;
 
 /// One cache operation, path-addressed; ids are assigned deterministically
-/// by the driver so both caches see byte-identical arguments.
+/// by the driver so the cache and the model see identical arguments.
 #[derive(Debug, Clone)]
 enum Op {
     InsertChain(DfsPath),
@@ -96,85 +101,212 @@ impl IdSpace {
     }
 }
 
+/// Root-to-target prefixes of `path`, the root first.
+fn prefixes(path: &DfsPath) -> Vec<DfsPath> {
+    path.ancestors().chain(once(path.clone())).collect()
+}
+
+/// The cache's contract as a path-keyed map.
+struct Model {
+    capacity: usize,
+    listing_capacity: usize,
+    tick: u64,
+    /// Cached entries by path, with the tick of their last touch.
+    entries: HashMap<DfsPath, (Inode, u64)>,
+    /// The path each cached inode id is placed at.
+    placed: HashMap<InodeId, DfsPath>,
+    listings: HashMap<InodeId, Vec<&'static str>>,
+    stats: CacheStats,
+}
+
+impl Model {
+    fn new(capacity: usize, listing_capacity: usize) -> Self {
+        Model {
+            capacity,
+            listing_capacity,
+            tick: 0,
+            entries: HashMap::new(),
+            placed: HashMap::new(),
+            listings: HashMap::new(),
+            stats: CacheStats::default(),
+        }
+    }
+
+    fn touch(&mut self, path: &DfsPath) -> Inode {
+        self.tick += 1;
+        let entry = self.entries.get_mut(path).expect("touched entry is cached");
+        entry.1 = self.tick;
+        entry.0.clone()
+    }
+
+    /// Drops the entry at `path` with its placement and listing.
+    fn clear(&mut self, path: &DfsPath) -> bool {
+        let Some((inode, _)) = self.entries.remove(path) else { return false };
+        self.placed.remove(&inode.id);
+        self.listings.remove(&inode.id);
+        true
+    }
+
+    fn insert_chain(&mut self, path: &DfsPath, chain: &[Inode]) {
+        for (at, inode) in prefixes(path).into_iter().zip(chain) {
+            match self.placed.get(&inode.id) {
+                Some(old) if *old != at => {
+                    let old = old.clone();
+                    self.clear(&old);
+                }
+                _ => {}
+            }
+            if self.entries.insert(at.clone(), (inode.clone(), 0)).is_none() {
+                self.stats.insertions += 1;
+            }
+            self.placed.insert(inode.id, at.clone());
+            self.touch(&at);
+        }
+        while self.entries.len() > self.capacity {
+            let (lru, _) =
+                self.entries.iter().min_by_key(|(_, (_, tick))| *tick).expect("over capacity");
+            let lru = lru.clone();
+            self.clear(&lru);
+            self.stats.evictions += 1;
+        }
+    }
+
+    fn lookup(&mut self, path: &DfsPath) -> Option<Vec<Inode>> {
+        let chain = prefixes(path);
+        if !chain.iter().all(|p| self.entries.contains_key(p)) {
+            self.stats.misses += 1;
+            return None;
+        }
+        self.stats.hits += 1;
+        Some(chain.iter().map(|p| self.touch(p)).collect())
+    }
+
+    fn lookup_prefix(&mut self, path: &DfsPath) -> Vec<Inode> {
+        let cached: Vec<DfsPath> =
+            prefixes(path).into_iter().take_while(|p| self.entries.contains_key(p)).collect();
+        cached.iter().map(|p| self.touch(p)).collect()
+    }
+
+    fn invalidate_inode(&mut self, id: InodeId) -> bool {
+        let Some(path) = self.placed.get(&id).cloned() else { return false };
+        if self.clear(&path) {
+            self.stats.invalidations += 1;
+        }
+        true
+    }
+
+    fn invalidate_prefix(&mut self, prefix: &DfsPath) -> u64 {
+        let under: Vec<DfsPath> =
+            self.entries.keys().filter(|p| p.starts_with(prefix)).cloned().collect();
+        for path in &under {
+            self.clear(path);
+        }
+        let dropped = under.len() as u64;
+        self.stats.prefix_invalidations += dropped;
+        dropped
+    }
+
+    fn cache_listing(&mut self, dir: InodeId, mut names: Vec<&'static str>) {
+        if self.listings.len() >= self.listing_capacity {
+            self.listings.clear();
+        }
+        names.sort_unstable();
+        self.listings.insert(dir, names);
+    }
+
+    fn listing(&mut self, dir: InodeId) -> Option<Vec<&'static str>> {
+        let names = self.listings.get(&dir).cloned();
+        match names {
+            Some(_) => self.stats.listing_hits += 1,
+            None => self.stats.listing_misses += 1,
+        }
+        names
+    }
+
+    fn update_listing(&mut self, dir: InodeId, name: &'static str, present: bool) {
+        let Some(names) = self.listings.get_mut(&dir) else { return };
+        match (names.binary_search(&name), present) {
+            (Ok(idx), false) => {
+                names.remove(idx);
+            }
+            (Err(idx), true) => names.insert(idx, name),
+            _ => {}
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Every op returns the same value from both caches, and the final
-    /// stats, sizes, and surviving-entry sets are identical.
+    /// Every op returns the same value from the cache and the model, and
+    /// the final stats, sizes, and surviving-entry sets are identical.
     #[test]
     fn arena_cache_matches_baseline(ops in prop::collection::vec(op(), 1..80)) {
         // Capacity far below the reachable path universe so the LRU is
         // constantly evicting; a small listing cache for the same reason.
-        let mut arena = MetadataCache::with_listing_capacity(5, 3);
-        let mut baseline = BaselineCache::with_listing_capacity(5, 3);
+        let mut cache = MetadataCache::with_listing_capacity(5, 3);
+        let mut model = Model::new(5, 3);
         let mut ids = IdSpace::new();
 
         for op in &ops {
             match op {
                 Op::InsertChain(p) => {
                     let chain = ids.chain_for(p);
-                    arena.insert_chain(p, &chain);
-                    baseline.insert_chain(p, &chain);
+                    cache.insert_chain(p, &chain);
+                    model.insert_chain(p, &chain);
                 }
                 Op::Lookup(p) => {
-                    prop_assert_eq!(arena.lookup(p), baseline.lookup(p));
+                    prop_assert_eq!(cache.lookup(p), model.lookup(p));
                 }
                 Op::LookupPrefix(p) => {
-                    prop_assert_eq!(arena.lookup_prefix(p), baseline.lookup_prefix(p));
+                    prop_assert_eq!(cache.lookup_prefix(p), model.lookup_prefix(p));
                 }
                 Op::InvalidateInode(p) => {
                     let id = ids.id_of(p);
-                    prop_assert_eq!(arena.invalidate_inode(id), baseline.invalidate_inode(id));
+                    prop_assert_eq!(cache.invalidate_inode(id), model.invalidate_inode(id));
                 }
                 Op::InvalidatePrefix(p) => {
-                    prop_assert_eq!(arena.invalidate_prefix(p), baseline.invalidate_prefix(p));
+                    prop_assert_eq!(cache.invalidate_prefix(p), model.invalidate_prefix(p));
                 }
                 Op::CacheListing(p, names) => {
                     let dir = ids.id_of(p);
-                    arena.cache_listing(dir, names.iter().map(|n| interned(n)).collect());
-                    baseline.cache_listing(dir, names.clone());
+                    let names: Vec<&'static str> = names.iter().map(|n| interned(n)).collect();
+                    cache.cache_listing(dir, names.clone().into());
+                    model.cache_listing(dir, names);
                 }
                 Op::Listing(p) => {
                     let dir = ids.id_of(p);
-                    // The arena cache hands out a shared snapshot of
-                    // interned names, the baseline an owned `Vec<String>`:
-                    // they must agree name by name.
-                    let (shared, owned) = (arena.listing(dir), baseline.listing(dir));
-                    prop_assert_eq!(shared.is_some(), owned.is_some());
-                    if let (Some(shared), Some(owned)) = (shared, owned) {
-                        prop_assert_eq!(shared.len(), owned.len());
-                        for (i, (s, o)) in shared.iter().zip(&owned).enumerate() {
-                            prop_assert_eq!(*s, o.as_str(), "listing of {} diverges at name {}", p, i);
-                        }
-                    }
+                    prop_assert_eq!(
+                        cache.listing(dir).as_deref(),
+                        model.listing(dir).as_deref(),
+                        "listing of {}", p
+                    );
                 }
                 Op::UpdateListing(p, name, present) => {
                     let dir = ids.id_of(p);
-                    arena.update_listing(dir, interned(name), *present);
-                    baseline.update_listing(dir, name, *present);
+                    cache.update_listing(dir, interned(name), *present);
+                    model.update_listing(dir, interned(name), *present);
                 }
                 Op::InvalidateListing(p) => {
                     let dir = ids.id_of(p);
-                    arena.invalidate_listing(dir);
-                    baseline.invalidate_listing(dir);
+                    cache.invalidate_listing(dir);
+                    model.listings.remove(&dir);
                 }
             }
             // Size must track op-by-op, not just at the end: a transient
             // divergence (say, an over-eager eviction that a later
             // invalidation masks) would hide otherwise.
-            prop_assert_eq!(arena.len(), baseline.len());
+            prop_assert_eq!(cache.len(), model.entries.len());
         }
 
-        prop_assert_eq!(arena.stats(), baseline.stats());
+        prop_assert_eq!(cache.stats(), model.stats);
         // Surviving-entry set: every id ever assigned is cached in one
         // iff it is cached in the other. `contains_inode` takes `&self`,
         // so probing does not perturb LRU order or the counters.
-        let assigned: Vec<(DfsPath, InodeId)> =
-            ids.ids.iter().map(|(p, &id)| (p.clone(), id)).collect();
-        for (p, id) in assigned {
+        for (p, &id) in &ids.ids {
             prop_assert_eq!(
-                arena.contains_inode(id),
-                baseline.contains_inode(id),
+                cache.contains_inode(id),
+                model.placed.contains_key(&id),
                 "surviving-entry sets diverge at {} (inode {})", p, id
             );
         }

@@ -20,6 +20,8 @@
 //! Endpoints are small integer ids chosen by the embedding system (λFS uses
 //! client VM ids and `1000 + deployment` for NameNode deployments).
 
+use std::str::FromStr;
+
 use crate::rng::{Dist, SimRng};
 use crate::time::{SimDuration, SimTime};
 
@@ -225,7 +227,10 @@ impl FaultPlan {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed clause.
+    /// Returns a description of the first malformed clause: an unknown
+    /// kind, a key the kind does not use (or a repeated one), a value that
+    /// does not parse, or a value out of range (`p` outside `[0, 1]`, a
+    /// negative or non-finite `ms`, a non-positive `x`).
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
         for clause in spec.split(';').map(str::trim).filter(|c| !c.is_empty()) {
@@ -245,20 +250,28 @@ impl FaultPlan {
                 }
                 Ok(FaultWindow { from, until })
             };
-            let kv = parse_params(params, clause)?;
+            let kv = |keys: &[&str]| Params::parse(params, clause, keys);
             match kind.trim() {
-                "drop" | "delay" | "dup" => {
-                    let prob = kv.f64("p").unwrap_or(1.0);
+                kind @ ("drop" | "delay" | "dup") => {
+                    let kv = kv(if kind == "delay" {
+                        &["p", "ms", "src", "dst"]
+                    } else {
+                        &["p", "src", "dst"]
+                    })?;
+                    let prob = kv.get("p")?.unwrap_or(1.0);
                     if !(0.0..=1.0).contains(&prob) {
                         return Err(format!("clause `{clause}`: p must be in [0,1]"));
                     }
-                    let net_kind = match kind.trim() {
+                    let net_kind = match kind {
                         "drop" => NetFaultKind::Drop,
                         "dup" => NetFaultKind::Duplicate,
                         _ => {
-                            let ms = kv
-                                .f64("ms")
-                                .ok_or_else(|| format!("clause `{clause}`: delay needs ms="))?;
+                            let ms: f64 = kv.require("ms")?;
+                            if !(ms.is_finite() && ms >= 0.0) {
+                                return Err(format!(
+                                    "clause `{clause}`: ms must be finite and non-negative"
+                                ));
+                            }
                             NetFaultKind::Delay(Dist::constant_ms(ms))
                         }
                     };
@@ -266,36 +279,28 @@ impl FaultPlan {
                         kind: net_kind,
                         prob,
                         window: window()?,
-                        src: kv.u32("src"),
-                        dst: kv.u32("dst"),
+                        src: kv.get("src")?,
+                        dst: kv.get("dst")?,
                     });
                 }
                 "part" => {
-                    let a = kv
-                        .u32("a")
-                        .ok_or_else(|| format!("clause `{clause}`: part needs a="))?;
-                    let b = kv
-                        .u32("b")
-                        .ok_or_else(|| format!("clause `{clause}`: part needs b="))?;
+                    let kv = kv(&["a", "b"])?;
+                    let (a, b) = (kv.require("a")?, kv.require("b")?);
                     plan.partitions.push(Partition { a, b, window: window()? });
                 }
                 "shard" => {
-                    let shard = kv
-                        .u32("shard")
-                        .ok_or_else(|| format!("clause `{clause}`: shard needs shard="))?;
-                    let down = kv
-                        .duration("down")
-                        .ok_or_else(|| format!("clause `{clause}`: shard needs down="))??;
+                    let kv = kv(&["shard", "down"])?;
+                    let shard = kv.require("shard")?;
+                    let down = parse_time(kv.require::<String>("down")?.as_str())?;
                     plan.shards.push(ShardOutage { shard, at: from, takeover: down });
                 }
                 "kill" => {
-                    let count = kv.u32("count").unwrap_or(1);
-                    plan.kills.push(KillBurst { at: from, deployment: kv.u32("dep"), count });
+                    let kv = kv(&["count", "dep"])?;
+                    let count = kv.get("count")?.unwrap_or(1);
+                    plan.kills.push(KillBurst { at: from, deployment: kv.get("dep")?, count });
                 }
                 "storm" => {
-                    let factor = kv
-                        .f64("x")
-                        .ok_or_else(|| format!("clause `{clause}`: storm needs x="))?;
+                    let factor: f64 = kv(&["x"])?.require("x")?;
                     if !(factor.is_finite() && factor > 0.0) {
                         return Err(format!("clause `{clause}`: x must be positive"));
                     }
@@ -335,32 +340,46 @@ fn parse_time(s: &str) -> Result<SimDuration, String> {
 }
 
 /// Parsed `key=value` clause parameters.
-struct Params<'a>(Vec<(&'a str, &'a str)>);
-
-impl<'a> Params<'a> {
-    fn get(&self, key: &str) -> Option<&'a str> {
-        self.0.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
-    }
-    fn f64(&self, key: &str) -> Option<f64> {
-        self.get(key).and_then(|v| v.parse().ok())
-    }
-    fn u32(&self, key: &str) -> Option<u32> {
-        self.get(key).and_then(|v| v.parse().ok())
-    }
-    fn duration(&self, key: &str) -> Option<Result<SimDuration, String>> {
-        self.get(key).map(parse_time)
-    }
+struct Params<'a> {
+    clause: &'a str,
+    pairs: Vec<(&'a str, &'a str)>,
 }
 
-fn parse_params<'a>(params: &'a str, clause: &str) -> Result<Params<'a>, String> {
-    let mut out = Vec::new();
-    for pair in params.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-        let (k, v) = pair
-            .split_once('=')
-            .ok_or_else(|| format!("clause `{clause}`: bad param `{pair}`"))?;
-        out.push((k.trim(), v.trim()));
+impl<'a> Params<'a> {
+    /// Splits `params`, rejecting any key outside `keys` and any repeat.
+    fn parse(params: &'a str, clause: &'a str, keys: &[&str]) -> Result<Self, String> {
+        let mut pairs: Vec<(&str, &str)> = Vec::new();
+        for pair in params.split(',').map(str::trim).filter(|p| !p.is_empty()) {
+            let (k, v) = pair
+                .split_once('=')
+                .ok_or_else(|| format!("clause `{clause}`: bad param `{pair}`"))?;
+            let k = k.trim();
+            if !keys.contains(&k) {
+                return Err(format!(
+                    "clause `{clause}`: unknown key `{k}` (expected {})",
+                    keys.join("/")
+                ));
+            }
+            if pairs.iter().any(|(seen, _)| *seen == k) {
+                return Err(format!("clause `{clause}`: repeated key `{k}`"));
+            }
+            pairs.push((k, v.trim()));
+        }
+        Ok(Params { clause, pairs })
     }
-    Ok(Params(out))
+
+    /// The value of `key`: `None` when absent, an error when it does not
+    /// parse as a `T`.
+    fn get<T: FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        let Some(&(_, v)) = self.pairs.iter().find(|(k, _)| *k == key) else { return Ok(None) };
+        v.parse()
+            .map(Some)
+            .map_err(|_| format!("clause `{}`: bad value `{v}` for `{key}`", self.clause))
+    }
+
+    fn require<T: FromStr>(&self, key: &str) -> Result<T, String> {
+        self.get(key)?.ok_or_else(|| format!("clause `{}`: needs {key}=", self.clause))
+    }
 }
 
 /// The injector's verdict for one message hop.
@@ -609,6 +628,30 @@ mod tests {
         assert!(FaultPlan::parse("shard@0s:shard=1").is_err()); // missing down
         assert!(FaultPlan::parse("storm@0s-1s:x=-2").is_err()); // bad factor
         assert!(FaultPlan::parse("quake@0s-1s").is_err()); // unknown kind
+    }
+
+    #[test]
+    fn parse_rejects_malformed_values_and_foreign_keys() {
+        for spec in [
+            "drop@0s-10s:p=0.3x",         // value does not parse
+            "drop@0s-10s:p=0.3,src=abc",  // endpoint filter does not parse
+            "dup@0s-10s:dst=abc",         // endpoint filter does not parse
+            "kill@5s:count=abc",          // count does not parse
+            "kill@5s:dep=abc",            // deployment does not parse
+            "kill@5s:count=-1",           // negative count
+            "drop@0s-10s:prob=0.3",       // misspelled key
+            "drop@0s-10s:p=0.1,p=0.2",    // repeated key
+            "part@0s-1s:a=0,b=1,p=0.5",   // key of another kind
+            "delay@0s-10s:p=0.5,ms=-5",   // negative delay
+            "delay@0s-10s:p=0.5,ms=inf",  // infinite delay
+            "delay@0s-10s:ms=NaN",        // not a number
+            "part@0s-1s:a=0,b=x",         // endpoint does not parse
+            "shard@0s:shard=one,down=1s", // shard index does not parse
+            "shard@0s:shard=1,down=soon", // takeover does not parse
+            "storm@0s-1s:x=big",          // factor does not parse
+        ] {
+            assert!(FaultPlan::parse(spec).is_err(), "`{spec}` parsed");
+        }
     }
 
     #[test]

@@ -48,7 +48,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 mod cost;
 mod engine;
 pub mod fault;

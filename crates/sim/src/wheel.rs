@@ -30,9 +30,10 @@
 //! every bucket is sorted with the same total order before use, and no
 //! iteration order depends on addresses or hashing — so the pop sequence is
 //! a pure function of the push sequence, exactly as with the heap it
-//! replaces. The differential tests in `tests/differential.rs` hold the
-//! engine to that, comparing full transcripts against the boxed
-//! [`baseline`](crate::baseline) engine.
+//! replaces. The property tests in `tests/differential.rs` hold the
+//! engine to that, comparing full transcripts against an ordered
+//! `(time, schedule order)` event model and against transcripts recorded
+//! from the boxed-closure engine the wheel replaced.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

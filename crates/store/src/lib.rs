@@ -23,7 +23,6 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod baseline;
 pub mod bptree;
 mod db;
 mod error;
@@ -654,5 +653,29 @@ mod tests {
         }
         sim.run();
         assert_eq!(db.peek(t, &0), Some(2));
+    }
+
+    /// Pins one lock → write → commit → read script: the elapsed sim time
+    /// (every station charge and RNG draw on the path) and the `DbStats`
+    /// it leaves, as the pre-overhaul store produced them.
+    #[test]
+    fn txn_script_charges_match_the_recorded_store() {
+        let mut sim = Sim::new(11);
+        let db = new_db();
+        let t = db.create_table::<u64, String>("inodes");
+        let txn = db.begin();
+        let db2 = db.clone();
+        db.lock(&mut sim, txn, vec![db.lock_key(t, &7u64)], LockMode::Exclusive, move |sim, r| {
+            r.unwrap();
+            db2.upsert(txn, t, 7, "v".to_string()).unwrap();
+            let db3 = db2.clone();
+            db2.commit(sim, txn, move |_sim, r| {
+                r.unwrap();
+                assert_eq!(db3.peek(t, &7), Some("v".to_string()));
+            });
+        });
+        sim.run();
+        assert_eq!(sim.now().as_nanos(), 1_771_831, "same seed, same charge sequence");
+        assert_eq!(db.stats(), DbStats { rows_written: 1, commits: 1, ..DbStats::default() });
     }
 }

@@ -10,8 +10,7 @@
 //! [`bptree`](crate::bptree) module docs) is invisible at this layer:
 //! `TypedTable` keeps the exact same surface and semantics, and
 //! `tests/engine_differential.rs` pins the equivalence against the std
-//! map. The pre-overhaul store in [`baseline`](crate::baseline) still
-//! runs on `BTreeMap`, serving as the end-to-end oracle.
+//! map.
 
 use std::any::Any;
 use std::fmt;

@@ -6,7 +6,7 @@
 //! cargo run --release --example compare_systems
 //! ```
 
-use lambdafs_repro::baselines::{CephFs, CephFsConfig, HopsFs, HopsFsConfig};
+use lambda_baselines::{CephFs, CephFsConfig, HopsFs, HopsFsConfig};
 use lambdafs_repro::fs::{DfsService, LambdaFs, LambdaFsConfig};
 use lambdafs_repro::namespace::OpClass;
 use lambdafs_repro::sim::params::StoreParams;

@@ -2,7 +2,7 @@
 //! namespace when driven with the same operation sequence, and every
 //! store-backed service's namespace remains well-formed.
 
-use lambdafs_repro::baselines::{CephFs, CephFsConfig, HopsFs, HopsFsConfig, InfiniCacheStyle};
+use lambda_baselines::{CephFs, CephFsConfig, HopsFs, HopsFsConfig, InfiniCacheStyle};
 use lambdafs_repro::fs::{DfsService, LambdaFs, LambdaFsConfig};
 use lambdafs_repro::namespace::{DfsPath, FsOp, OpOutcome, OpResult};
 use lambdafs_repro::sim::{Sim, SimDuration};

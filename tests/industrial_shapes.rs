@@ -7,7 +7,7 @@
 //! * λFS's pay-per-use cost is below its own provisioned-model cost;
 //! * caches actually serve the read traffic (high hit ratio).
 
-use lambdafs_repro::baselines::{HopsFs, HopsFsConfig};
+use lambda_baselines::{HopsFs, HopsFsConfig};
 use lambdafs_repro::fs::{DfsService, LambdaFs, LambdaFsConfig};
 use lambdafs_repro::namespace::OpClass;
 use lambdafs_repro::sim::params::StoreParams;
